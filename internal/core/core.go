@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
 
@@ -289,32 +288,21 @@ func Build(model *nn.Sequential, plans []*prune.Plan, opts ...BuildOption) (*Rev
 // FNV-64a value. Two models agree exactly at every level iff their dense
 // weights and nested plans agree, which is what this fingerprint proxies.
 func (s *CheckpointStore) fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	buf[0] = byte(s.hash0)
-	buf[1] = byte(s.hash0 >> 8)
-	buf[2] = byte(s.hash0 >> 16)
-	buf[3] = byte(s.hash0 >> 24)
-	buf[4] = byte(s.hash0 >> 32)
-	buf[5] = byte(s.hash0 >> 40)
-	buf[6] = byte(s.hash0 >> 48)
-	buf[7] = byte(s.hash0 >> 56)
-	h.Write(buf[:])
+	h := fnvWord(fnvOffset64, uint32(s.hash0))
+	h = fnvWord(h, uint32(s.hash0>>32))
 	for l := 1; l < len(s.deltas); l++ {
 		for di := range s.deltas[l] {
 			d := &s.deltas[l][di]
-			h.Write([]byte(d.param))
-			h.Write([]byte{0})
+			for i := 0; i < len(d.param); i++ {
+				h = (h ^ uint64(d.param[i])) * fnvPrime64
+			}
+			h *= fnvPrime64 // the NUL that ends the name
 			for _, k := range d.indices {
-				buf[0] = byte(k)
-				buf[1] = byte(k >> 8)
-				buf[2] = byte(k >> 16)
-				buf[3] = byte(k >> 24)
-				h.Write(buf[:4])
+				h = fnvWord(h, uint32(k))
 			}
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // CheckpointID returns a stable fingerprint of the model's provenance: the
@@ -634,19 +622,13 @@ func (rm *ReversibleModel) RefreshStore() error {
 // hashPrunable hashes the prunable weights with FNV-64a, in parameter
 // order.
 func hashPrunable(model *nn.Sequential) uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
+	h := fnvOffset64
 	for _, p := range model.PrunableParams() {
 		for _, v := range p.Value.Data() {
-			bits := math.Float32bits(v)
-			buf[0] = byte(bits)
-			buf[1] = byte(bits >> 8)
-			buf[2] = byte(bits >> 16)
-			buf[3] = byte(bits >> 24)
-			h.Write(buf[:])
+			h = fnvWord(h, math.Float32bits(v))
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 func sortedMaskNames(masks map[string]*prune.Mask) []string {

@@ -68,6 +68,15 @@ const (
 	fnvPrime64  uint64 = 0x100000001b3
 )
 
+// fnvWord folds the four little-endian bytes of w into the FNV-64a state
+// h, exactly as hash/fnv's Write of those bytes would.
+func fnvWord(h uint64, w uint32) uint64 {
+	h = (h ^ uint64(byte(w))) * fnvPrime64
+	h = (h ^ uint64(byte(w>>8))) * fnvPrime64
+	h = (h ^ uint64(byte(w>>16))) * fnvPrime64
+	return (h ^ uint64(byte(w>>24))) * fnvPrime64
+}
+
 // levelChecksum folds one level's deltas — parameter names, pruned indices,
 // and the bit patterns of the stored displaced values — into a 64-bit sum.
 // It covers the stored representation (float32 or bfloat16), so a single

@@ -20,26 +20,39 @@ func (r *ReLU) Name() string { return r.name }
 
 // Forward applies max(0, x) elementwise.
 func (r *ReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+	if !training {
+		return r.infer(x, nil)
+	}
 	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
-	if training {
-		if len(r.lastMask) != len(xd) {
-			r.lastMask = make([]bool, len(xd))
-		}
-		for i, v := range xd {
-			if v > 0 {
-				od[i] = v
-				r.lastMask[i] = true
-			} else {
-				r.lastMask[i] = false
-			}
-		}
-		return out
+	if len(r.lastMask) != len(xd) {
+		r.lastMask = make([]bool, len(xd))
 	}
 	for i, v := range xd {
 		if v > 0 {
 			od[i] = v
+			r.lastMask[i] = true
+		} else {
+			r.lastMask[i] = false
 		}
+	}
+	return out
+}
+
+// infer writes every element, zeros included, because a workspace buffer
+// holds the previous pass's values; NaN fails v > 0 and maps to 0. The
+// sign of an activation is unpredictable, so the result is selected with
+// a bit mask rather than a branch that would often be mispredicted.
+func (r *ReLU) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	out := ws.like(x)
+	xd, od := x.Data(), out.Data()
+	od = od[:len(xd)]
+	for i, v := range xd {
+		var keep uint32
+		if v > 0 {
+			keep = ^uint32(0)
+		}
+		od[i] = math.Float32frombits(math.Float32bits(v) & keep)
 	}
 	return out
 }
@@ -86,7 +99,15 @@ func (l *LeakyReLU) Alpha() float32 { return l.alpha }
 
 // Forward applies the leaky rectifier elementwise.
 func (l *LeakyReLU) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	return l.apply(x, nil, training)
+}
+
+func (l *LeakyReLU) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	return l.apply(x, ws, false)
+}
+
+func (l *LeakyReLU) apply(x *tensor.Tensor, ws *Workspace, training bool) *tensor.Tensor {
+	out := ws.like(x)
 	xd, od := x.Data(), out.Data()
 	if training && len(l.lastMask) != len(xd) {
 		l.lastMask = make([]bool, len(xd))
@@ -139,9 +160,18 @@ func (t *Tanh) Name() string { return t.name }
 
 // Forward applies tanh elementwise.
 func (t *Tanh) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	out := x.Map(func(v float32) float32 { return float32(math.Tanh(float64(v))) })
+	out := t.infer(x, nil)
 	if training {
 		t.lastOut = out
+	}
+	return out
+}
+
+func (t *Tanh) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	out := ws.like(x)
+	od := out.Data()
+	for i, v := range x.Data() {
+		od[i] = float32(math.Tanh(float64(v)))
 	}
 	return out
 }
@@ -178,7 +208,13 @@ func (s *Softmax) Name() string { return s.name }
 
 // Forward applies a row-wise softmax.
 func (s *Softmax) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	return tensor.SoftmaxRows(x)
+	return s.infer(x, nil)
+}
+
+func (s *Softmax) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	out := ws.like(x)
+	tensor.SoftmaxRowsInto(out, x)
+	return out
 }
 
 // Backward panics: use the fused softmax-cross-entropy loss for training.

@@ -77,6 +77,9 @@ func (c *Conv2D) checkInput(x *tensor.Tensor) int {
 // element the contraction order is identical in both paths, so fused
 // batched inference is bit-identical to running the samples one at a time.
 func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+	if !training {
+		return c.infer(x, nil)
+	}
 	batch := c.checkInput(x)
 	g := c.geom
 	oh, ow := g.OutH(), g.OutW()
@@ -87,41 +90,62 @@ func (c *Conv2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 
 	out := tensor.New(batch, c.outC, oh, ow)
 	xd, od, bias := x.Data(), out.Data(), c.bias.Value.Data()
-
-	if training {
-		c.lastInput = x
-		c.lastCols = make([]*tensor.Tensor, batch)
-		for s := 0; s < batch; s++ {
-			cols := tensor.New(k, spatial)
-			c.lastCols[s] = cols
-			tensor.Im2col(xd[s*sampleIn:(s+1)*sampleIn], g, cols)
-			res := tensor.MatMul(c.weight.Value, cols) // (outC × spatial)
-			rd := res.Data()
-			base := s * sampleOut
-			for oc := 0; oc < c.outC; oc++ {
-				b := bias[oc]
-				src := rd[oc*spatial : (oc+1)*spatial]
-				dst := od[base+oc*spatial : base+(oc+1)*spatial]
-				for i, v := range src {
-					dst[i] = v + b
-				}
+	c.lastInput = x
+	c.lastCols = make([]*tensor.Tensor, batch)
+	for s := 0; s < batch; s++ {
+		cols := tensor.New(k, spatial)
+		c.lastCols[s] = cols
+		tensor.Im2col(xd[s*sampleIn:(s+1)*sampleIn], g, cols)
+		res := tensor.MatMul(c.weight.Value, cols) // (outC × spatial)
+		rd := res.Data()
+		base := s * sampleOut
+		for oc := 0; oc < c.outC; oc++ {
+			b := bias[oc]
+			src := rd[oc*spatial : (oc+1)*spatial]
+			dst := od[base+oc*spatial : base+(oc+1)*spatial]
+			for i, v := range src {
+				dst[i] = v + b
 			}
 		}
-		return out
 	}
+	return out
+}
 
-	// Inference: one matmul for the whole layer. The scratch patch matrix
-	// is cached per batch width, so the steady states (single-frame Detect,
-	// a stable fleet batch size) stay allocation-free on this path.
+// infer is the inference path: one matmul for the whole layer. The patch
+// matrix is cached per batch width; the outputs come from ws, so only a
+// pass with a workspace is allocation-free in the steady state.
+func (c *Conv2D) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	batch := c.checkInput(x)
+	g := c.geom
+	oh, ow := g.OutH(), g.OutW()
+	k := g.InC * g.KH * g.KW
+	spatial := oh * ow
+	sampleIn := g.InC * g.InH * g.InW
+	sampleOut := c.outC * spatial
 	total := batch * spatial
 	if c.colsBuf == nil || c.colsBuf.Dim(1) != total {
 		c.colsBuf = tensor.New(k, total)
 	}
+	xd, bias := x.Data(), c.bias.Value.Data()
 	for s := 0; s < batch; s++ {
 		tensor.Im2colOffset(xd[s*sampleIn:(s+1)*sampleIn], g, c.colsBuf, s*spatial)
 	}
-	res := tensor.MatMulBlocked(c.weight.Value, c.colsBuf) // (outC × B·spatial)
+	res := ws.take(c.outC, total)
+	tensor.MatMulBlockedInto(res, c.weight.Value, c.colsBuf)
 	rd := res.Data()
+	if batch == 1 {
+		// (outC × spatial) is already the [1, outC, oh, ow] layout.
+		for oc := 0; oc < c.outC; oc++ {
+			b := bias[oc]
+			row := rd[oc*spatial : (oc+1)*spatial]
+			for i := range row {
+				row[i] += b
+			}
+		}
+		return ws.view(res, 1, c.outC, oh, ow)
+	}
+	out := ws.take(batch, c.outC, oh, ow)
+	od := out.Data()
 	for s := 0; s < batch; s++ {
 		base := s * sampleOut
 		for oc := 0; oc < c.outC; oc++ {

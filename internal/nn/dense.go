@@ -48,13 +48,19 @@ func (d *Dense) Bias() *Param { return d.bias }
 
 // Forward computes x·Wᵀ + b.
 func (d *Dense) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	if x.Dims() != 2 || x.Dim(1) != d.in {
-		failf("nn: Dense %q input shape %v, want [B %d]", d.name, x.Shape(), d.in)
-	}
+	out := d.infer(x, nil)
 	if training {
 		d.lastInput = x
 	}
-	out := tensor.MatMulTransB(x, d.weight.Value)
+	return out
+}
+
+func (d *Dense) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	if x.Dims() != 2 || x.Dim(1) != d.in {
+		failf("nn: Dense %q input shape %v, want [B %d]", d.name, x.Shape(), d.in)
+	}
+	out := ws.take(x.Dim(0), d.out)
+	tensor.MatMulTransBInto(out, x, d.weight.Value)
 	b := d.bias.Value.Data()
 	od := out.Data()
 	cols := d.out

@@ -51,6 +51,9 @@ func (d *Dropout) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return out
 }
 
+// infer is the identity: dropout is inert at inference.
+func (d *Dropout) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor { return x }
+
 // Backward applies the same keep mask to the gradient.
 func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if metrics.ApproxEqual(d.p, 0, 1e-9) {

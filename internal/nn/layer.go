@@ -10,6 +10,13 @@
 //     model instance must not be shared between concurrent goroutines.
 //   - Weights are float32 and exposed via named Params so the pruning layer
 //     can edit them in place.
+//   - Forward returns freshly allocated outputs the caller owns.
+//     Sequential.Infer runs the same inference kernels into buffers owned
+//     by a Workspace: a tensor it returns is valid only until the next
+//     Infer on the same workspace. Layers keep no output buffers of their
+//     own, so a model evaluated at a large batch holds no batch-sized
+//     memory afterwards (Conv2D's cached patch matrix is the one scratch
+//     buffer a layer keeps).
 package nn
 
 import "repro/internal/tensor"

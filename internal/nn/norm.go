@@ -79,25 +79,14 @@ func (b *BatchNorm) geometry(x *tensor.Tensor) (batch, plane int) {
 // Forward normalizes with batch statistics when training, running statistics
 // otherwise.
 func (b *BatchNorm) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+	if !training {
+		return b.infer(x, nil)
+	}
 	batch, plane := b.geometry(x)
 	out := tensor.New(x.Shape()...)
 	xd, od := x.Data(), out.Data()
 	g, be := b.gamma.Value.Data(), b.beta.Value.Data()
 	stride := b.features * plane
-
-	if !training {
-		for f := 0; f < b.features; f++ {
-			invStd := 1 / float32(math.Sqrt(float64(b.runningVar[f])+float64(b.eps)))
-			mean := b.runningMean[f]
-			for s := 0; s < batch; s++ {
-				base := s*stride + f*plane
-				for i := 0; i < plane; i++ {
-					od[base+i] = g[f]*(xd[base+i]-mean)*invStd + be[f]
-				}
-			}
-		}
-		return out
-	}
 
 	n := batch * plane
 	if n < 2 {
@@ -141,6 +130,25 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 		}
 		b.runningMean[f] = b.momentum*b.runningMean[f] + (1-b.momentum)*mean
 		b.runningVar[f] = b.momentum*b.runningVar[f] + (1-b.momentum)*variance
+	}
+	return out
+}
+
+func (b *BatchNorm) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	batch, plane := b.geometry(x)
+	out := ws.like(x)
+	xd, od := x.Data(), out.Data()
+	g, be := b.gamma.Value.Data(), b.beta.Value.Data()
+	stride := b.features * plane
+	for f := 0; f < b.features; f++ {
+		invStd := 1 / float32(math.Sqrt(float64(b.runningVar[f])+float64(b.eps)))
+		mean := b.runningMean[f]
+		for s := 0; s < batch; s++ {
+			base := s*stride + f*plane
+			for i := 0; i < plane; i++ {
+				od[base+i] = g[f]*(xd[base+i]-mean)*invStd + be[f]
+			}
+		}
 	}
 	return out
 }

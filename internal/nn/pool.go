@@ -48,12 +48,20 @@ func (m *MaxPool2D) OutShape() []int { return []int{m.c, m.OutH(), m.OutW()} }
 
 // Forward max-pools each channel plane.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+	return m.pool(x, nil, training)
+}
+
+func (m *MaxPool2D) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	return m.pool(x, ws, false)
+}
+
+func (m *MaxPool2D) pool(x *tensor.Tensor, ws *Workspace, training bool) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != m.c || x.Dim(2) != m.h || x.Dim(3) != m.w {
 		failf("nn: MaxPool2D %q input shape %v, want [B %d %d %d]", m.name, x.Shape(), m.c, m.h, m.w)
 	}
 	batch := x.Dim(0)
 	oh, ow := m.OutH(), m.OutW()
-	out := tensor.New(batch, m.c, oh, ow)
+	out := ws.take(batch, m.c, oh, ow)
 	if training {
 		m.lastArg = make([]int, out.Len())
 		m.lastShape = x.Shape()
@@ -143,13 +151,17 @@ func (g *GlobalAvgPool2D) Config() (c, h, w int) { return g.c, g.h, g.w }
 
 // Forward averages each plane.
 func (g *GlobalAvgPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
+	return g.infer(x, nil)
+}
+
+func (g *GlobalAvgPool2D) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
 	if x.Dims() != 4 || x.Dim(1) != g.c || x.Dim(2) != g.h || x.Dim(3) != g.w {
 		failf("nn: GlobalAvgPool2D %q input shape %v, want [B %d %d %d]", g.name, x.Shape(), g.c, g.h, g.w)
 	}
 	batch := x.Dim(0)
 	plane := g.h * g.w
 	inv := 1 / float32(plane)
-	out := tensor.New(batch, g.c)
+	out := ws.take(batch, g.c)
 	xd, od := x.Data(), out.Data()
 	for i := 0; i < batch*g.c; i++ {
 		var s float32
@@ -205,14 +217,19 @@ func (f *Flatten) Name() string { return f.name }
 
 // Forward flattens all but the batch dimension.
 func (f *Flatten) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	if x.Dims() < 2 {
-		failf("nn: Flatten %q input shape %v, want ≥2-D", f.name, x.Shape())
-	}
+	out := f.infer(x, nil)
 	if training {
 		f.lastShape = x.Shape()
 	}
+	return out
+}
+
+func (f *Flatten) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	if x.Dims() < 2 {
+		failf("nn: Flatten %q input shape %v, want ≥2-D", f.name, x.Shape())
+	}
 	batch := x.Dim(0)
-	return x.Reshape(batch, x.Len()/batch)
+	return ws.view(x, batch, x.Len()/batch)
 }
 
 // Backward restores the pre-flatten shape.

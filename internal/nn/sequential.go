@@ -56,6 +56,25 @@ func (m *Sequential) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
 	return x
 }
 
+// Infer runs the inference pass, Forward(x, false), with every layer
+// output taken from ws: once ws has seen inputs of x's shape, a pass
+// allocates nothing. The result uses the same kernels as Forward and is
+// bit-identical to it. The returned tensor, and every activation behind
+// it, belongs to ws and stays valid only until the next Infer on the same
+// workspace; x must not be one of them. A nil ws allocates fresh outputs,
+// exactly as Forward(x, false) does.
+func (m *Sequential) Infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
+	ws.reset()
+	for _, l := range m.layers {
+		if il, ok := l.(inferer); ok {
+			x = il.infer(x, ws)
+		} else {
+			x = l.Forward(x, false)
+		}
+	}
+	return x
+}
+
 // Backward propagates the output gradient through every layer in reverse
 // order and returns the gradient w.r.t. the model input.
 func (m *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {

@@ -13,6 +13,7 @@ package perception
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/governor"
@@ -42,6 +43,8 @@ type Pipeline struct {
 	threshold float64
 	batch     *tensor.Tensor // reusable [1,1,S,S] input
 	batchBuf  *tensor.Tensor // reusable [N,1,S,S] input for batched passes
+	ws        nn.Workspace   // Detect's activation buffers, sized for batch 1
+	probs     *tensor.Tensor // Detect's softmax output, [1, classes]
 
 	// Debouncing (optional): declare an obstacle only when at least
 	// debounceK of the last debounceN raw frame decisions were positive.
@@ -95,7 +98,9 @@ func (p *Pipeline) FrameSize() int { return p.size }
 
 // Detect classifies one [1, S, S] frame. A frame whose pixel count does
 // not match FrameSize² is rejected with an error — a truncated or garbled
-// sensor read must degrade, not crash the control loop.
+// sensor read must degrade, not crash the control loop. After the first
+// frame Detect allocates nothing: the forward pass runs through the
+// pipeline's own workspace and probability buffer.
 func (p *Pipeline) Detect(frame *tensor.Tensor) (Detection, error) {
 	if frame == nil {
 		return Detection{}, fmt.Errorf("perception: nil frame")
@@ -104,9 +109,12 @@ func (p *Pipeline) Detect(frame *tensor.Tensor) (Detection, error) {
 		return Detection{}, fmt.Errorf("perception: frame with %d pixels, want %d", frame.Len(), p.size*p.size)
 	}
 	copy(p.batch.Data(), frame.Data())
-	logits := p.model.Forward(p.batch, false)
-	probs := tensor.SoftmaxRows(logits)
-	return p.DecideRow(probs, 0), nil
+	logits := p.model.Infer(p.batch, &p.ws)
+	if p.probs == nil || !tensor.SameShape(p.probs, logits) {
+		p.probs = tensor.New(logits.Shape()...)
+	}
+	tensor.SoftmaxRowsInto(p.probs, logits)
+	return p.DecideRow(p.probs, 0), nil
 }
 
 // ProbsBatch stacks the frames into one [N,1,S,S] batch, runs a single
@@ -116,8 +124,10 @@ func (p *Pipeline) Detect(frame *tensor.Tensor) (Detection, error) {
 // *other* pipelines' DecideRow (the fleet batch planner runs one
 // instance's model for a whole group and lets each member decide its own
 // frame). Frames are validated like Detect validates; the stack buffer is
-// cached per batch size. Callers serialize ProbsBatch against anything
-// else touching this pipeline's model.
+// cached per batch size and the activations come from a pooled workspace.
+// The returned matrix is freshly allocated and belongs to the caller.
+// Callers serialize ProbsBatch against anything else touching this
+// pipeline's model.
 func (p *Pipeline) ProbsBatch(frames []*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("perception: empty batch")
@@ -139,9 +149,18 @@ func (p *Pipeline) ProbsBatch(frames []*tensor.Tensor) (*tensor.Tensor, error) {
 		buf = p.batchBuf
 	}
 	tensor.StackInto(buf, frames)
-	logits := p.model.Forward(buf, false)
-	return tensor.SoftmaxRows(logits), nil
+	ws := batchWorkspaces.Get().(*nn.Workspace)
+	probs := tensor.SoftmaxRows(p.model.Infer(buf, ws))
+	batchWorkspaces.Put(ws)
+	return probs, nil
 }
+
+// batchWorkspaces holds the activation buffers of fused batch passes.
+// Pooled rather than kept per pipeline: any instance may lead a fused
+// group, and batch-wide buffers on every leader would stay resident, while
+// the pool holds about one workspace per concurrent pass and the garbage
+// collector may drop idle ones.
+var batchWorkspaces = sync.Pool{New: func() any { return new(nn.Workspace) }}
 
 // DecideRow turns row r of a ProbsBatch probability matrix into this
 // pipeline's Detection: threshold, then the k-of-n debounce vote, which
@@ -149,6 +168,7 @@ func (p *Pipeline) ProbsBatch(frames []*tensor.Tensor) (*tensor.Tensor, error) {
 // Callers serialize DecideRow the same way they serialize Detect.
 func (p *Pipeline) DecideRow(probs *tensor.Tensor, r int) Detection {
 	pObstacle := float64(probs.At2(r, 1))
+	classes := probs.Dim(1)
 	raw := pObstacle >= p.threshold
 	decided := raw
 	if p.debounceN > 0 {
@@ -168,7 +188,7 @@ func (p *Pipeline) DecideRow(probs *tensor.Tensor, r int) Detection {
 	return Detection{
 		Obstacle:    decided,
 		Confidence:  pObstacle,
-		Uncertainty: safety.Entropy(probs.Row(r).Data()),
+		Uncertainty: safety.Entropy(probs.Data()[r*classes : (r+1)*classes]),
 	}
 }
 

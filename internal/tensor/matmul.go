@@ -172,8 +172,20 @@ func matMulRows(out, a, b *Tensor, accumulate bool, lo, hi int) {
 // relies on when a fused dense layer runs many frames as one product.
 func MatMulTransB(a, b *Tensor) *Tensor {
 	m, n := checkMatMulShapes("MatMulTransB", a, b, nil, false, true)
-	k := a.shape[1]
 	out := New(m, n)
+	matMulTransBInto(out, a, b)
+	return out
+}
+
+// MatMulTransBInto computes out = a·bᵀ, reusing out's storage. out must
+// already have shape (m×n); every element is overwritten.
+func MatMulTransBInto(out, a, b *Tensor) {
+	checkMatMulShapes("MatMulTransBInto", a, b, out, false, true)
+	matMulTransBInto(out, a, b)
+}
+
+func matMulTransBInto(out, a, b *Tensor) {
+	m, k, n := a.shape[0], a.shape[1], out.shape[1]
 	workers := resolveWorkers()
 	if workers > 1 && int64(m)*int64(k)*int64(n) >= parallelThreshold && m > 1 {
 		if workers > m {
@@ -197,21 +209,39 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 			}(lo, hi)
 		}
 		wg.Wait()
-		return out
+		return
 	}
 	matMulTransBRows(out, a, b, 0, m)
-	return out
 }
 
-// matMulTransBRows computes output rows [lo, hi) of out = a·bᵀ.
+// matMulTransBRows computes output rows [lo, hi) of out = a·bᵀ, four output
+// columns per pass over the a row. Each column keeps its own accumulator
+// summed in ascending p, exactly as a one-column-at-a-time dot product
+// sums it, so the result is bit-identical to that serial loop; the four
+// independent add chains only let the CPU overlap their latencies.
 func matMulTransBRows(out, a, b *Tensor, lo, hi int) {
 	k, n := a.shape[1], out.shape[1]
 	ad, bd, od := a.data, b.data, out.data
 	for i := lo; i < hi; i++ {
 		arow := ad[i*k : (i+1)*k]
 		orow := od[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := bd[j*k : (j+1)*k][:len(arow)]
+			b1 := bd[(j+1)*k : (j+2)*k][:len(arow)]
+			b2 := bd[(j+2)*k : (j+3)*k][:len(arow)]
+			b3 := bd[(j+3)*k : (j+4)*k][:len(arow)]
+			var s0, s1, s2, s3 float32
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := bd[j*k : (j+1)*k][:len(arow)]
 			var s float32
 			for p, av := range arow {
 				s += av * brow[p]

@@ -109,15 +109,6 @@ func (t *Tensor) Apply(f func(float32) float32) *Tensor {
 	return t
 }
 
-// Map returns a new tensor whose elements are f applied to t's elements.
-func (t *Tensor) Map(f func(float32) float32) *Tensor {
-	out := New(t.shape...)
-	for i := range t.data {
-		out.data[i] = f(t.data[i])
-	}
-	return out
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float32 {
 	var s float32
@@ -300,8 +291,18 @@ func SoftmaxRows(a *Tensor) *Tensor {
 	if len(a.shape) != 2 {
 		failf("tensor: SoftmaxRows on %d-D tensor", len(a.shape))
 	}
+	out := New(a.shape[0], a.shape[1])
+	SoftmaxRowsInto(out, a)
+	return out
+}
+
+// SoftmaxRowsInto writes the row-wise softmax of the 2-D tensor a into out,
+// which must have a's shape; every element of out is overwritten.
+func SoftmaxRowsInto(out, a *Tensor) {
+	if len(a.shape) != 2 || !SameShape(out, a) {
+		failf("tensor: SoftmaxRowsInto shapes %v into %v, want equal 2-D", a.shape, out.shape)
+	}
 	r, c := a.shape[0], a.shape[1]
-	out := New(r, c)
 	for i := 0; i < r; i++ {
 		row := a.data[i*c : (i+1)*c]
 		orow := out.data[i*c : (i+1)*c]
@@ -322,5 +323,4 @@ func SoftmaxRows(a *Tensor) *Tensor {
 			orow[j] *= inv
 		}
 	}
-	return out
 }

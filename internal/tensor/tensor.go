@@ -62,11 +62,13 @@ func Scalar(v float32) *Tensor {
 	return t
 }
 
+// checkShape formats a copy of shape on failure so that shape itself does
+// not escape: a caller's variadic shape slice then stays on its stack.
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			failf("tensor: negative dimension in shape %v", shape)
+			failf("tensor: negative dimension in shape %v", append([]int(nil), shape...))
 		}
 		n *= d
 	}
@@ -110,7 +112,7 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 func (t *Tensor) Reshape(shape ...int) *Tensor {
 	n := checkShape(shape)
 	if n != len(t.data) {
-		failf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n)
+		failf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), append([]int(nil), shape...), n)
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }

@@ -19,7 +19,8 @@
 #   6. go test -race     — the concurrency-sensitive packages under the
 #                          race detector
 #   7. go test -fuzz     — a short coverage-guided smoke run of the binary
-#                          format fuzzers (the checked-in corpus always runs
+#                          format fuzzers and of the dense-kernel
+#                          differential (the checked-in corpus always runs
 #                          as part of step 5)
 #   8. docs consistency  — the METRICS.md cross-check (every emitted metric
 #                          documented, every documented metric emitted) and
@@ -103,6 +104,7 @@ step go test ./...
 step go test -race ./internal/core/ ./internal/perception/ ./internal/tensor/ ./internal/governor/ ./internal/metrics/ ./internal/telemetry/ ./internal/telemetry/window/ ./internal/telemetry/otlp/ ./internal/fleet/ ./internal/fault/ ./internal/health/ ./internal/ingest/
 step go test -run '^$' -fuzz FuzzReadTensor -fuzztime 5s ./internal/tensor/
 step go test -run '^$' -fuzz FuzzStackRoundTrip -fuzztime 5s ./internal/tensor/
+step go test -run '^$' -fuzz FuzzMatMulTransB -fuzztime 5s ./internal/tensor/
 step go test -run '^$' -fuzz FuzzMaskRoundTrip -fuzztime 5s ./internal/prune/
 step go test -run '^$' -fuzz FuzzStoreRoundTrip -fuzztime 5s ./internal/core/
 step go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/telemetry/otlp/
