@@ -353,9 +353,9 @@ func reportBatchedThroughput(f *fleet.Fleet, vehicles []fleetVehicle, reg *telem
 		return err
 	}
 
-	// Untimed warm-up of both paths: first passes pay one-off costs (im2col
-	// and batch buffer allocation, dispatcher goroutine start-up) that a
-	// steady-state throughput number must not include.
+	// Untimed warm-up of both paths: first passes pay one-off costs
+	// (activation and batch buffer allocation, dispatcher goroutine
+	// start-up) that a steady-state throughput number must not include.
 	batchedRounds := func(rounds int) (fused int, err error) {
 		for r := 0; r < rounds; r++ {
 			for i, v := range vehicles {

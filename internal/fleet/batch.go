@@ -266,9 +266,8 @@ func snapshotKeyOf(i *Instance) batchKey {
 //
 // The leader is the member with the smallest name, not the smallest
 // sequence number: names are stable across planning windows, so the same
-// instance's weights and im2col buffers serve every fused pass of a
-// checkpoint group and stay cache-hot, instead of each window warming a
-// different clone's copies.
+// instance's weights serve every fused pass of a checkpoint group and stay
+// cache-hot, instead of each window warming a different clone's copies.
 func runFusedLocked(fused []job, dets []perception.Detection) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/tensor"
 )
 
@@ -46,57 +48,99 @@ func (m *MaxPool2D) OutW() int { return (m.w-m.kw)/m.strideW + 1 }
 // OutShape returns the per-sample output shape [C, OutH, OutW].
 func (m *MaxPool2D) OutShape() []int { return []int{m.c, m.OutH(), m.OutW()} }
 
-// Forward max-pools each channel plane.
+// Forward max-pools each channel plane. The training pass also records
+// each output's argmax for Backward.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, training bool) *tensor.Tensor {
-	return m.pool(x, nil, training)
+	if !training {
+		return m.infer(x, nil)
+	}
+	batch := m.checkInput(x)
+	out := tensor.New(batch, m.c, m.OutH(), m.OutW())
+	m.lastArg = make([]int, out.Len())
+	m.lastShape = x.Shape()
+	m.pool(out.Data(), x.Data(), m.lastArg)
+	return out
 }
 
 func (m *MaxPool2D) infer(x *tensor.Tensor, ws *Workspace) *tensor.Tensor {
-	return m.pool(x, ws, false)
-}
-
-func (m *MaxPool2D) pool(x *tensor.Tensor, ws *Workspace, training bool) *tensor.Tensor {
-	if x.Dims() != 4 || x.Dim(1) != m.c || x.Dim(2) != m.h || x.Dim(3) != m.w {
-		failf("nn: MaxPool2D %q input shape %v, want [B %d %d %d]", m.name, x.Shape(), m.c, m.h, m.w)
-	}
-	batch := x.Dim(0)
+	batch := m.checkInput(x)
 	oh, ow := m.OutH(), m.OutW()
 	out := ws.take(batch, m.c, oh, ow)
-	if training {
-		m.lastArg = make([]int, out.Len())
-		m.lastShape = x.Shape()
-	}
 	xd, od := x.Data(), out.Data()
-	planeIn := m.h * m.w
+	if m.kh != 2 || m.kw != 2 || m.strideH != 2 || m.strideW != 2 {
+		m.pool(od, xd, nil)
+		return out
+	}
+	planeIn, planeOut := m.h*m.w, oh*ow
+	for p := 0; p < batch*m.c; p++ {
+		pool2x2(od[p*planeOut:(p+1)*planeOut], xd[p*planeIn:(p+1)*planeIn], m.w, ow)
+	}
+	return out
+}
+
+// pool is the general kernel. Each window is visited in row-major order
+// starting from its top-left element, and only a strictly greater value
+// replaces the running max: a NaN in the first position wins its window
+// and a later NaN never does. A non-nil arg receives each output's flat
+// input index.
+func (m *MaxPool2D) pool(od, xd []float32, arg []int) {
+	w, kh, kw, sh, sw := m.w, m.kh, m.kw, m.strideH, m.strideW
+	oh, ow := m.OutH(), m.OutW()
+	planeIn := m.h * w
 	oi := 0
-	for s := 0; s < batch; s++ {
-		for c := 0; c < m.c; c++ {
-			base := (s*m.c + c) * planeIn
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					iy0, ix0 := oy*m.strideH, ox*m.strideW
-					best := xd[base+iy0*m.w+ix0]
-					bestIdx := base + iy0*m.w + ix0
-					for ky := 0; ky < m.kh; ky++ {
-						rowBase := base + (iy0+ky)*m.w
-						for kx := 0; kx < m.kw; kx++ {
-							idx := rowBase + ix0 + kx
-							if xd[idx] > best {
-								best = xd[idx]
-								bestIdx = idx
-							}
+	for base := 0; base < len(xd); base += planeIn {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				top := base + oy*sh*w + ox*sw
+				best, bestIdx := xd[top], top
+				for ky := 0; ky < kh; ky++ {
+					row := top + ky*w
+					for kx := 0; kx < kw; kx++ {
+						if v := xd[row+kx]; v > best {
+							best, bestIdx = v, row+kx
 						}
 					}
-					od[oi] = best
-					if training {
-						m.lastArg[oi] = bestIdx
-					}
-					oi++
 				}
+				od[oi] = best
+				if arg != nil {
+					arg[oi] = bestIdx
+				}
+				oi++
 			}
 		}
 	}
-	return out
+}
+
+// pool2x2 max-pools one plane with a 2×2 window at stride 2, a row pair at
+// a time, visiting each window as pool does. Which value wins a window
+// depends on the data, so a branch on it mispredicts often; the kernel
+// selects between bit patterns instead, which compiles to conditional
+// moves.
+func pool2x2(o, in []float32, w, ow int) {
+	for oy := 0; oy*ow < len(o); oy++ {
+		r0 := in[2*oy*w : 2*oy*w+2*ow]
+		r1 := in[(2*oy+1)*w:][:len(r0)]
+		d := o[oy*ow : oy*ow+ow]
+		for i := 0; i+1 < len(r0); i += 2 {
+			d[i>>1] = keepMax(keepMax(keepMax(r0[i], r0[i+1]), r1[i]), r1[i+1])
+		}
+	}
+}
+
+// keepMax returns v if v > best and best otherwise.
+func keepMax(best, v float32) float32 {
+	b, c := math.Float32bits(best), math.Float32bits(v)
+	if v > best {
+		b = c
+	}
+	return math.Float32frombits(b)
+}
+
+func (m *MaxPool2D) checkInput(x *tensor.Tensor) int {
+	if x.Dims() != 4 || x.Dim(1) != m.c || x.Dim(2) != m.h || x.Dim(3) != m.w {
+		failf("nn: MaxPool2D %q input shape %v, want [B %d %d %d]", m.name, x.Shape(), m.c, m.h, m.w)
+	}
+	return x.Dim(0)
 }
 
 // Backward routes each output gradient to the input position that won the

@@ -3,9 +3,10 @@ package nn
 import "repro/internal/tensor"
 
 // Workspace owns the activation buffers of Sequential.Infer. Each layer
-// output takes the next buffer in call order, reallocated only when its
-// shape changes, so repeated passes over same-shaped inputs allocate
-// nothing after the first. A tensor Infer returns lives in the workspace:
+// output, and each layer's scratch (Conv2D's zero-padded input planes),
+// takes the next buffer in call order, reallocated only when its shape
+// changes, so repeated passes over same-shaped inputs allocate nothing
+// after the first. A tensor Infer returns lives in the workspace:
 // it stays valid only until the next Infer on the same workspace.
 //
 // The zero value is ready to use. A workspace is not safe for concurrent

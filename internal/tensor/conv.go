@@ -28,6 +28,11 @@ func (g ConvGeom) Validate() error {
 		return fmt.Errorf("conv geometry: non-positive stride %+v", g)
 	case g.PadH < 0 || g.PadW < 0:
 		return fmt.Errorf("conv geometry: negative padding %+v", g)
+	case g.KH > g.InH+2*g.PadH || g.KW > g.InW+2*g.PadW:
+		// Checked apart from the output size: with a stride above 1 the
+		// truncating division in OutH/OutW rounds a too-large kernel up to
+		// one output row.
+		return fmt.Errorf("conv geometry: kernel exceeds padded input %+v", g)
 	case g.OutH() <= 0 || g.OutW() <= 0:
 		return fmt.Errorf("conv geometry: empty output %+v", g)
 	}
@@ -53,43 +58,13 @@ func Im2col(src []float32, g ConvGeom, dst *Tensor) {
 	if len(src) != g.InC*g.InH*g.InW {
 		failf("tensor: Im2col src length %d, want %d", len(src), g.InC*g.InH*g.InW)
 	}
-	im2colCols(src, g, dst.data, cols, 0)
-}
-
-// Im2colOffset expands one image into a column block of a wider patch
-// matrix: dst must have shape [C*KH*KW, total] with total ≥
-// colOff+OutH*OutW, and the sample's patches land in columns
-// [colOff, colOff+OutH*OutW). Stacking B samples at offsets s·OutH·OutW
-// builds the (C·KH·KW) × (B·OutH·OutW) matrix that turns a whole batch's
-// convolution into one matmul with the weight matrix — the fused
-// one-matmul-per-layer kernel the fleet batch planner runs.
-func Im2colOffset(src []float32, g ConvGeom, dst *Tensor, colOff int) {
-	spatial := g.OutH() * g.OutW()
-	rows := g.InC * g.KH * g.KW
-	if len(dst.shape) != 2 || dst.shape[0] != rows {
-		failf("tensor: Im2colOffset dst shape %v, want [%d total]", dst.shape, rows)
-	}
-	if colOff < 0 || colOff+spatial > dst.shape[1] {
-		failf("tensor: Im2colOffset columns [%d,%d) out of dst width %d", colOff, colOff+spatial, dst.shape[1])
-	}
-	if len(src) != g.InC*g.InH*g.InW {
-		failf("tensor: Im2colOffset src length %d, want %d", len(src), g.InC*g.InH*g.InW)
-	}
-	im2colCols(src, g, dst.data, dst.shape[1], colOff)
-}
-
-// im2colCols is the shared patch-expansion core: it writes the sample's
-// (C*KH*KW) × (OutH*OutW) patch matrix into d with the given row stride,
-// starting at column colOff.
-func im2colCols(src []float32, g ConvGeom, d []float32, rowStride, colOff int) {
-	oh, ow := g.OutH(), g.OutW()
-	cols := oh * ow
+	d := dst.data
 	r := 0
 	for c := 0; c < g.InC; c++ {
 		chanBase := c * g.InH * g.InW
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
-				drow := d[r*rowStride+colOff : r*rowStride+colOff+cols]
+				drow := d[r*cols : (r+1)*cols]
 				r++
 				i := 0
 				for oy := 0; oy < oh; oy++ {

@@ -403,6 +403,10 @@ func TestConvGeomValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("kernel larger than padded input accepted")
 	}
+	bad = ConvGeom{InC: 1, InH: 2, InW: 4, KH: 3, KW: 3, StrideH: 2, StrideW: 1}
+	if err := bad.Validate(); err == nil {
+		t.Error("kernel larger than padded input accepted at stride 2")
+	}
 }
 
 // TestIm2colMatchesDirectConv checks the im2col+matmul convolution against a

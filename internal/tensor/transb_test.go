@@ -120,3 +120,66 @@ func FuzzMatMulTransB(f *testing.F) {
 		checkTransBBits(t, a, b)
 	})
 }
+
+// setWorkers pins the matmul worker budget for a test and restores the
+// default on cleanup, so parallel-path tests cannot leak configuration
+// into the rest of the package run.
+func setWorkers(t *testing.T, n int) {
+	t.Helper()
+	SetMatMulWorkers(n)
+	t.Cleanup(func() { SetMatMulWorkers(0) })
+}
+
+// TestMatMulTransParityParallel covers the transpose-variant kernels under
+// a multi-worker budget: each must be bit-identical to its own serial run,
+// and agree with plain MatMul through an explicit transpose. Shapes exceed
+// parallelThreshold so MatMulTransB actually takes its row fan-out path.
+func TestMatMulTransParityParallel(t *testing.T) {
+	m, k, n := 96, 160, 144 // 96·160·144 ≈ 2.2M FLOP > 1<<21
+	r := NewRNG(31)
+	a := RandNormal(r, 0, 1, m, k)
+	bT := RandNormal(r, 0, 1, n, k) // b stored transposed, as dense layers do
+	aT := Transpose2D(a)
+	b := Transpose2D(bT)
+
+	setWorkers(t, 1)
+	wantTB := MatMulTransB(a, bT)
+	wantTA := MatMulTransA(aT, b)
+	ref := MatMul(a, b)
+
+	SetMatMulWorkers(4)
+	gotTB := MatMulTransB(a, bT)
+	if !Equal(wantTB, gotTB) {
+		t.Error("MatMulTransB parallel differs from serial")
+	}
+	gotTA := MatMulTransA(aT, b)
+	if !Equal(wantTA, gotTA) {
+		t.Error("MatMulTransA under workers=4 differs from workers=1")
+	}
+	if !AllClose(ref, gotTB, 1e-4) {
+		t.Error("MatMulTransB disagrees with MatMul beyond tolerance")
+	}
+	if !AllClose(ref, gotTA, 1e-4) {
+		t.Error("MatMulTransA disagrees with MatMul beyond tolerance")
+	}
+}
+
+// TestMatMulTransBSkipsZeros pins the transpose-B kernel's sparse behavior
+// under both worker budgets: zeroed a-rows yield exactly zero output rows.
+func TestMatMulTransBSkipsZeros(t *testing.T) {
+	r := NewRNG(37)
+	a := RandNormal(r, 0, 1, 4, 8)
+	bT := RandNormal(r, 0, 1, 6, 8)
+	for j := 0; j < 8; j++ {
+		a.Data()[2*8+j] = 0
+	}
+	for _, workers := range []int{1, 4} {
+		setWorkers(t, workers)
+		got := MatMulTransB(a, bT)
+		for j := 0; j < 6; j++ {
+			if got.At2(2, j) != 0 {
+				t.Fatalf("workers=%d: zero row leaked %v at col %d", workers, got.At2(2, j), j)
+			}
+		}
+	}
+}

@@ -19,9 +19,10 @@
 #   6. go test -race     — the concurrency-sensitive packages under the
 #                          race detector
 #   7. go test -fuzz     — a short coverage-guided smoke run of the binary
-#                          format fuzzers and of the dense-kernel
-#                          differential (the checked-in corpus always runs
-#                          as part of step 5)
+#                          format fuzzers and of the kernel differentials
+#                          (dense a·bᵀ, direct convolution, max-pool, each
+#                          against the kernel it replaced; the checked-in
+#                          corpus always runs as part of step 5)
 #   8. docs consistency  — the METRICS.md cross-check (every emitted metric
 #                          documented, every documented metric emitted) and
 #                          the docs link check (every docs/*.md file that
@@ -105,6 +106,8 @@ step go test -race ./internal/core/ ./internal/perception/ ./internal/tensor/ ./
 step go test -run '^$' -fuzz FuzzReadTensor -fuzztime 5s ./internal/tensor/
 step go test -run '^$' -fuzz FuzzStackRoundTrip -fuzztime 5s ./internal/tensor/
 step go test -run '^$' -fuzz FuzzMatMulTransB -fuzztime 5s ./internal/tensor/
+step go test -run '^$' -fuzz FuzzConv2DInfer -fuzztime 5s ./internal/nn/
+step go test -run '^$' -fuzz FuzzMaxPool2DInfer -fuzztime 5s ./internal/nn/
 step go test -run '^$' -fuzz FuzzMaskRoundTrip -fuzztime 5s ./internal/prune/
 step go test -run '^$' -fuzz FuzzStoreRoundTrip -fuzztime 5s ./internal/core/
 step go test -run '^$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/telemetry/otlp/
